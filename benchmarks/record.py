@@ -17,8 +17,7 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
   kernel than the tree-walking interpreter (compile time excluded; it is
   reported separately).  The check enforces both baseline drift *and* a
   hard **per-kernel** floor on the loop kernels (the
-  ``LOOP_SPEEDUP_FLOORS`` table, overridable with repeated
-  ``--speedup-floor KERNEL=RATIO`` flags): the floors were recorded
+  ``LOOP_SPEEDUP_FLOORS`` table): the floors were recorded
   against the structured emitter, whose numbers sit far above anything
   the old dispatch loop could produce, so they also catch a silent
   emitter downgrade.  The recording notes which emitter lowered each
@@ -31,14 +30,14 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
   no-subscriber run (warm inline-heavy calls, plus the ``dispatch``
   kernel under repeated violations where events actually flow, with both
   a no-op sink and the full ``repro.ops`` metrics exporter).  The check
-  enforces a hard cap (``--event-overhead-limit``, default 5%):
+  enforces a hard cap (``EVENT_OVERHEAD_LIMIT``, 5%):
   structured observability must be close to free.
 
 * **inlining speedups** — ``inline_vs_noinline`` per call-heavy kernel:
   steady-state warm-call time of the module-level adaptive runtime with
   speculative inlining disabled vs enabled (same backend, same inputs).
-  The check enforces a hard floor (``--inline-floor``, default 1.5) on
-  at least ``--inline-floor-kernels`` (default 2) kernels: the
+  The check enforces a hard floor (``INLINE_FLOOR``, 1.5) on at least
+  ``INLINE_FLOOR_KERNELS`` (2) kernels: the
   interprocedural tier must measurably erase call overhead, not just
   pass its tests.
 
@@ -54,7 +53,7 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
   ``compile_stall`` companion metric is GIL-independent: the worst
   single-call latency during cold warmup with synchronous compilation
   vs with a background worker — background compilation must shave the
-  compile stall off the request path (``--stall-floor``, default 1.2).
+  compile stall off the request path (``STALL_FLOOR``, 1.2).
 
 * **polymorphic dispatch** — ``multiverse_vs_single`` per polymorphic
   kernel: the steady-state wall-clock ratio of a ``max_versions=4``
@@ -65,15 +64,15 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
   one compromise version.  The recording hard-asserts the multiverse
   formed (>= 2 live versions), bounded its recompiles by
   ``max_versions`` and stopped deoptimizing in the steady state; the
-  ``--polymorphic-floor`` gate (default 2x) requires the ratio to clear
-  the floor on at least 2 of the 3 kernels.
+  ``POLYMORPHIC_FLOOR`` gate (2x) requires the ratio to clear the floor
+  on at least ``POLYMORPHIC_FLOOR_KERNELS`` (2) of the 3 kernels.
 
 * **verification overhead** — ``strict_vs_off_compile`` per loop
   kernel: the wall-clock ratio of building a speculative version *and*
   statically proving its deopt metadata sound (the
   ``verify_deopt=strict`` publication gate) over the bare build.  The
-  check enforces a hard per-kernel cap (``--verify-overhead-limit``,
-  default 0.15, i.e. 1.15x): the soundness proof must stay a small
+  check enforces a hard per-kernel cap (``VERIFY_OVERHEAD_LIMIT``,
+  0.15, i.e. 1.15x): the soundness proof must stay a small
   fraction of compile time or nobody will leave it on.
 
 * **warm starts** — ``cold_vs_warm_start`` per call-heavy kernel: the
@@ -82,7 +81,7 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
   the same window on an engine opened against a populated artifact
   store (compiled tiers re-installed before the first call, zero
   ``TierUp`` events — asserted during recording).  The check enforces a
-  hard floor (``--warm-floor``, default 2.0) on at least one kernel:
+  hard floor (``WARM_FLOOR``, 2.0) on at least one kernel:
   persistence must visibly erase re-warming.
 
 Usage::
@@ -92,7 +91,8 @@ Usage::
     python benchmarks/record.py --repeats 50         # steadier timings
 
 CI runs ``--check`` as the benchmark-regression guard and uploads the
-fresh ``BENCH_*.json`` as a workflow artifact.
+fresh ``BENCH_*.json`` as a workflow artifact.  Every gate value is a
+module constant below (the ``--check`` gates section), not a flag.
 """
 
 from __future__ import annotations
@@ -177,6 +177,36 @@ assert set(LOOP_SPEEDUP_FLOORS) == set(BACKEND_LOOP_KERNELS)
 
 #: Floor applied to a baseline loop kernel with no table entry.
 DEFAULT_SPEEDUP_FLOOR = 3.0
+
+# --check gates.  Ratio drift against the baseline and the absolute
+# floors and caps on the current recording.
+#: Maximum multiplicative drift of a ratio from its baseline value.
+TOLERANCE = 4.0
+#: Minimum inlining speedup, cleared by at least INLINE_FLOOR_KERNELS
+#: call-heavy kernels.
+INLINE_FLOOR = 1.5
+INLINE_FLOOR_KERNELS = 2
+#: Maximum event-bus cost versus a no-subscriber run (0.05 = 5%).
+EVENT_OVERHEAD_LIMIT = 0.05
+#: Minimum 4-thread/1-thread throughput ratio, by build: a free-threaded
+#: interpreter must scale; under the GIL the locks must not collapse.
+CONCURRENT_SCALING_FLOOR_GIL = 0.5
+CONCURRENT_SCALING_FLOOR_NO_GIL = 2.0
+#: Minimum cut of the worst warmup-call latency by background
+#: compilation.  The CPython compile() of the generated code holds the
+#: GIL atomically, which bounds the observable win on any GIL build;
+#: quiet rounds show 2-18x.
+STALL_FLOOR = 1.2
+#: Minimum cut of the worst warmup-call latency by a store-hydrated warm
+#: start, on at least one kernel.
+WARM_FLOOR = 2.0
+#: Minimum multiverse-vs-single-version steady-state speedup, cleared by
+#: at least POLYMORPHIC_FLOOR_KERNELS phase-alternating kernels.
+POLYMORPHIC_FLOOR = 2.0
+POLYMORPHIC_FLOOR_KERNELS = 2
+#: Maximum compile-time cost of strict static verification per loop
+#: kernel (0.15 = 1.15x the unverified build).
+VERIFY_OVERHEAD_LIMIT = 0.15
 
 
 def _median_seconds(thunk, repeats: int) -> float:
@@ -273,7 +303,7 @@ def _timing_ratios(repeats: int) -> dict:
         warm_args, warm_memory = speculative_arguments(KERNEL)
         engine.call(KERNEL, warm_args, memory=warm_memory)
     state = engine.function(KERNEL).state
-    assert state.is_compiled and state.speculative
+    assert state.version is not None and state.version.speculative
 
     def warm_call():
         call_args, call_memory = speculative_arguments(KERNEL)
@@ -799,8 +829,8 @@ def _cold_vs_warm_start() -> dict:
     :class:`~repro.store.persist.ArtifactStore` a previous engine
     published to, re-installs the compiled tier before the first call
     (zero ``TierUp`` events — asserted here, not just in the tests), and
-    so never leaves the optimized steady state.  The ``--warm-floor``
-    gate (default 2x) requires at least one kernel's ratio to clear the
+    so never leaves the optimized steady state.  The ``WARM_FLOOR``
+    gate (2x) requires at least one kernel's ratio to clear the
     floor: persistence must visibly erase re-warming, not just round-trip.
     """
     import tempfile
@@ -945,8 +975,8 @@ def _polymorphic_dispatch(repeats: int) -> dict:
     see: the multiverse actually formed (>= 2 live versions), its
     recompile count stayed within ``max_versions`` (specialization must
     not degenerate into recompile churn), and its steady state stopped
-    deoptimizing.  The ``--polymorphic-floor`` gate then requires the
-    ratio to clear the floor (default 2x) on at least 2 kernels.
+    deoptimizing.  The ``POLYMORPHIC_FLOOR`` gate then requires the
+    ratio to clear the floor (2x) on at least 2 kernels.
     """
     from repro.engine import TierUp
 
@@ -1070,28 +1100,12 @@ def record(repeats: int, only=None, dump_sources: Path = None) -> dict:
     return data
 
 
-def check(
-    current: dict,
-    baseline: dict,
-    tolerance: float,
-    speedup_floors: dict = None,
-    inline_floor: float = 1.5,
-    inline_floor_kernels: int = 2,
-    event_overhead_limit: float = 0.05,
-    concurrent_scaling_floor: float = None,
-    stall_floor: float = 1.2,
-    warm_floor: float = 2.0,
-    polymorphic_floor: float = 2.0,
-    polymorphic_floor_kernels: int = 2,
-    verify_overhead_limit: float = 0.15,
-) -> list:
+def check(current: dict, baseline: dict) -> list:
     problems = []
-    floors = dict(LOOP_SPEEDUP_FLOORS)
-    floors.update(speedup_floors or {})
 
     # Polymorphic dispatch: a hard floor against the *current* recording
     # only (the ratio is machine-shaped).  At least
-    # `polymorphic_floor_kernels` kernels must show the multiverse
+    # POLYMORPHIC_FLOOR_KERNELS kernels must show the multiverse
     # holding its specialized steady state over the single-version
     # engine's compromise — the whole point of keeping multiple
     # per-profile versions live.
@@ -1099,13 +1113,13 @@ def check(
     if polymorphic:
         poly_ratios = polymorphic.get("multiverse_vs_single", {})
         cleared = [
-            key for key, ratio in poly_ratios.items() if ratio >= polymorphic_floor
+            key for key, ratio in poly_ratios.items() if ratio >= POLYMORPHIC_FLOOR
         ]
-        if len(cleared) < polymorphic_floor_kernels:
+        if len(cleared) < POLYMORPHIC_FLOOR_KERNELS:
             problems.append(
                 f"polymorphic dispatch {poly_ratios}: the multiverse clears "
-                f"the {polymorphic_floor}x floor on only {len(cleared)} "
-                f"kernel(s) (need {polymorphic_floor_kernels})"
+                f"the {POLYMORPHIC_FLOOR}x floor on only {len(cleared)} "
+                f"kernel(s) (need {POLYMORPHIC_FLOOR_KERNELS})"
             )
         max_versions = polymorphic.get("max_versions", POLYMORPHIC_MAX_VERSIONS)
         for key, counts in polymorphic.get("tier_ups", {}).items():
@@ -1125,10 +1139,10 @@ def check(
     if warm:
         warm_ratios = warm.get("cold_vs_warm_start", {})
         best = max(warm_ratios.values(), default=0.0)
-        if best < warm_floor:
+        if best < WARM_FLOOR:
             problems.append(
                 f"warm start {warm_ratios}: no kernel improved the worst "
-                f"warmup call by the floor of {warm_floor}x"
+                f"warmup call by the floor of {WARM_FLOOR}x"
             )
 
     # Concurrency: hard floors against the *current* recording only
@@ -1138,27 +1152,28 @@ def check(
     # merely prove the engine's locks don't collapse under contention.
     concurrency = current.get("concurrency", {})
     if concurrency:
-        if concurrent_scaling_floor is None:
-            concurrent_scaling_floor = (
-                0.5 if concurrency.get("gil_enabled", True) else 2.0
-            )
+        scaling_floor = (
+            CONCURRENT_SCALING_FLOOR_GIL
+            if concurrency.get("gil_enabled", True)
+            else CONCURRENT_SCALING_FLOOR_NO_GIL
+        )
         for key, numbers in concurrency.get("concurrent_throughput", {}).items():
             scaling = numbers.get("scaling_4")
-            if scaling is None or scaling < concurrent_scaling_floor:
+            if scaling is None or scaling < scaling_floor:
                 problems.append(
                     f"concurrent throughput on {key}: 4-thread scaling "
                     f"{scaling} is below the floor of "
-                    f"{concurrent_scaling_floor}x "
+                    f"{scaling_floor}x "
                     f"(gil_enabled={concurrency.get('gil_enabled')})"
                 )
         for key, ratio in concurrency.get(
             "sync_vs_background_worst_call", {}
         ).items():
-            if ratio < stall_floor:
+            if ratio < STALL_FLOOR:
                 problems.append(
                     f"compile stall on {key}: background compilation cut the "
                     f"worst warmup call by only {ratio}x "
-                    f"(floor {stall_floor}x)"
+                    f"(floor {STALL_FLOOR}x)"
                 )
 
     # Verification overhead: a hard per-kernel cap against the *current*
@@ -1167,21 +1182,21 @@ def check(
     # small fraction of compile time on every loop kernel.
     verify = current.get("verify_overhead", {})
     for key, ratio in verify.get("strict_vs_off_compile", {}).items():
-        if ratio > 1.0 + verify_overhead_limit:
+        if ratio > 1.0 + VERIFY_OVERHEAD_LIMIT:
             problems.append(
                 f"verify overhead on {key}: strict compile is {ratio}x the "
                 f"unverified build, over the "
-                f"{1.0 + verify_overhead_limit:.2f}x limit"
+                f"{1.0 + VERIFY_OVERHEAD_LIMIT:.2f}x limit"
             )
 
     # Event-bus overhead: a hard cap against the *current* recording only
     # (no baseline needed — the contract is absolute: observability must
-    # cost less than `event_overhead_limit` on the hot paths).
+    # cost less than EVENT_OVERHEAD_LIMIT on the hot paths).
     for key, ratio in current.get("events", {}).get("subscribed_vs_plain", {}).items():
-        if ratio > 1.0 + event_overhead_limit:
+        if ratio > 1.0 + EVENT_OVERHEAD_LIMIT:
             problems.append(
                 f"event-bus overhead on {key}: {ratio}x exceeds the "
-                f"{1.0 + event_overhead_limit:.2f}x limit"
+                f"{1.0 + EVENT_OVERHEAD_LIMIT:.2f}x limit"
             )
     if "counters" in current:
         for key, expected in baseline["counters"].items():
@@ -1195,10 +1210,10 @@ def check(
                 problems.append(f"ratio {key}: missing or non-positive ({actual})")
                 continue
             drift = max(actual, expected) / min(actual, expected)
-            if drift > tolerance:
+            if drift > TOLERANCE:
                 problems.append(
                     f"ratio {key}: {actual} vs baseline {expected} "
-                    f"(drift {drift:.2f}x > tolerance {tolerance}x)"
+                    f"(drift {drift:.2f}x > tolerance {TOLERANCE}x)"
                 )
 
     # Backend speedups: drift vs baseline AND a hard per-kernel floor on
@@ -1216,16 +1231,16 @@ def check(
                 )
                 continue
             drift = max(actual, expected) / min(actual, expected)
-            if drift > tolerance:
+            if drift > TOLERANCE:
                 problems.append(
                     f"backend speedup {key}: {actual} vs baseline {expected} "
-                    f"(drift {drift:.2f}x > tolerance {tolerance}x)"
+                    f"(drift {drift:.2f}x > tolerance {TOLERANCE}x)"
                 )
         floor_kernels = baseline_backend.get(
             "loop_kernels", list(BACKEND_LOOP_KERNELS)
         )
         for key in floor_kernels:
-            floor = floors.get(key, DEFAULT_SPEEDUP_FLOOR)
+            floor = LOOP_SPEEDUP_FLOORS.get(key, DEFAULT_SPEEDUP_FLOOR)
             actual = current_backend.get("interp_vs_compiled", {}).get(key)
             if actual is None or actual < floor:
                 problems.append(
@@ -1239,18 +1254,18 @@ def check(
                     f"expected the structured emitter (silent fallback?)"
                 )
 
-    # Interprocedural tier: at least `inline_floor_kernels` call-heavy
+    # Interprocedural tier: at least INLINE_FLOOR_KERNELS call-heavy
     # kernels must clear the inlining-speedup floor.
     if "inlining" in current:
         current_inline = current["inlining"].get("inline_vs_noinline", {})
         cleared = [
-            key for key, ratio in current_inline.items() if ratio >= inline_floor
+            key for key, ratio in current_inline.items() if ratio >= INLINE_FLOOR
         ]
-        if len(cleared) < inline_floor_kernels:
+        if len(cleared) < INLINE_FLOOR_KERNELS:
             problems.append(
-                f"inlining speedups {current_inline} clear the {inline_floor}x "
+                f"inlining speedups {current_inline} clear the {INLINE_FLOOR}x "
                 f"floor on only {len(cleared)} kernels "
-                f"(need {inline_floor_kernels})"
+                f"(need {INLINE_FLOOR_KERNELS})"
             )
         baseline_inline = baseline.get("inlining", {}).get("inline_vs_noinline", {})
         for key, expected in baseline_inline.items():
@@ -1261,10 +1276,10 @@ def check(
                 )
                 continue
             drift = max(actual, expected) / min(actual, expected)
-            if drift > tolerance:
+            if drift > TOLERANCE:
                 problems.append(
                     f"inlining speedup {key}: {actual} vs baseline {expected} "
-                    f"(drift {drift:.2f}x > tolerance {tolerance}x)"
+                    f"(drift {drift:.2f}x > tolerance {TOLERANCE}x)"
                 )
     return problems
 
@@ -1273,90 +1288,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
-    parser.add_argument("--tolerance", type=float, default=4.0)
-    parser.add_argument(
-        "--speedup-floor",
-        action="append",
-        default=None,
-        metavar="KERNEL=RATIO",
-        help=(
-            "override a per-kernel compiled-backend floor (repeatable; "
-            "e.g. --speedup-floor sjeng=40); unnamed kernels keep the "
-            "committed LOOP_SPEEDUP_FLOORS table"
-        ),
-    )
-    parser.add_argument(
-        "--inline-floor",
-        type=float,
-        default=1.5,
-        help="minimum accepted inlining speedup on the call-heavy kernels",
-    )
-    parser.add_argument(
-        "--inline-floor-kernels",
-        type=int,
-        default=2,
-        help="how many call-heavy kernels must clear --inline-floor",
-    )
-    parser.add_argument(
-        "--event-overhead-limit",
-        type=float,
-        default=0.05,
-        help="maximum accepted event-bus cost (fraction; 0.05 = 5%%)",
-    )
-    parser.add_argument(
-        "--concurrent-scaling-floor",
-        type=float,
-        default=None,
-        help=(
-            "minimum accepted 4-thread/1-thread throughput ratio "
-            "(default: 2.0 on a free-threaded build, 0.5 under the GIL)"
-        ),
-    )
-    parser.add_argument(
-        "--stall-floor",
-        type=float,
-        default=1.2,
-        help=(
-            "minimum accepted reduction of the worst warmup-call latency "
-            "by background compilation (the CPython compile() of the "
-            "generated code holds the GIL atomically, which bounds the "
-            "observable win on any GIL build; quiet rounds show 2-18x)"
-        ),
-    )
-    parser.add_argument(
-        "--warm-floor",
-        type=float,
-        default=2.0,
-        help=(
-            "minimum accepted improvement of the worst warmup-call latency "
-            "by a store-hydrated warm start (at least one kernel must clear it)"
-        ),
-    )
-    parser.add_argument(
-        "--polymorphic-floor",
-        type=float,
-        default=2.0,
-        help=(
-            "minimum accepted multiverse-vs-single-version steady-state "
-            "speedup on the phase-alternating polymorphic kernels "
-            "(at least --polymorphic-floor-kernels must clear it)"
-        ),
-    )
-    parser.add_argument(
-        "--polymorphic-floor-kernels",
-        type=int,
-        default=2,
-        help="how many polymorphic kernels must clear --polymorphic-floor",
-    )
-    parser.add_argument(
-        "--verify-overhead-limit",
-        type=float,
-        default=0.15,
-        help=(
-            "maximum accepted compile-time cost of strict static "
-            "verification, per loop kernel (fraction; 0.15 = 1.15x)"
-        ),
-    )
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument(
         "--only",
@@ -1394,17 +1325,6 @@ def main(argv=None) -> int:
     options = parser.parse_args(argv)
     if options.repeats < 1:
         parser.error("--repeats must be at least 1")
-    floors = {}
-    for entry in options.speedup_floor or ():
-        kernel, sep, value = entry.partition("=")
-        if not sep:
-            parser.error(
-                f"--speedup-floor expects KERNEL=RATIO, got {entry!r}"
-            )
-        try:
-            floors[kernel] = float(value)
-        except ValueError:
-            parser.error(f"--speedup-floor {entry!r}: ratio is not a number")
 
     if options.require_no_gil and _gil_enabled():
         print(
@@ -1427,21 +1347,7 @@ def main(argv=None) -> int:
         print(f"no baseline at {options.baseline}", file=sys.stderr)
         return 1
     baseline = json.loads(options.baseline.read_text())
-    problems = check(
-        current,
-        baseline,
-        options.tolerance,
-        floors,
-        options.inline_floor,
-        options.inline_floor_kernels,
-        options.event_overhead_limit,
-        options.concurrent_scaling_floor,
-        options.stall_floor,
-        options.warm_floor,
-        options.polymorphic_floor,
-        options.polymorphic_floor_kernels,
-        options.verify_overhead_limit,
-    )
+    problems = check(current, baseline)
     if problems:
         print("benchmark regression check FAILED:", file=sys.stderr)
         for problem in problems:

@@ -36,10 +36,10 @@ def warmed_engine():
 
 def test_speculative_version_prunes_cold_paths(warmed_engine):
     function, engine = warmed_engine
-    state = engine.function(KERNEL).state
-    assert state.speculative
-    assert state.pair.optimized.num_instructions() < function.num_instructions()
-    assert len(state.pair.optimized.block_labels()) < len(function.block_labels())
+    version = engine.function(KERNEL).state.version
+    assert version.speculative
+    assert version.optimized.num_instructions() < function.num_instructions()
+    assert len(version.optimized.block_labels()) < len(function.block_labels())
 
 
 def test_warm_speculative_call(benchmark, warmed_engine):

@@ -1,8 +1,7 @@
 """The `Engine` facade: one object from source text to tiered execution.
 
-Embedders used to hand-stitch frontend → lowering → mem2reg →
-``register_module`` and then poke at ``AdaptiveRuntime`` internals.
-:class:`Engine` packages that whole flow:
+:class:`Engine` packages the whole flow from frontend → lowering →
+mem2reg → ``register_module`` to tiered execution and observation:
 
     from repro.engine import Engine, EngineConfig
 
@@ -140,7 +139,7 @@ class FunctionHandle:
     @property
     def tier(self) -> Tier:
         """The installed-version :class:`Tier` (string-comparable)."""
-        return Tier.OPTIMIZED if self.state.is_compiled else Tier.BASE
+        return Tier.OPTIMIZED if self.state.version is not None else Tier.BASE
 
     @property
     def version(self) -> VersionInfo:
@@ -202,7 +201,8 @@ class FunctionHandle:
 
     @property
     def speculative(self) -> bool:
-        return self.state.speculative
+        version = self.state.version
+        return version is not None and version.speculative
 
     @property
     def profile(self) -> FunctionProfile:
@@ -473,10 +473,6 @@ class Engine:
 
         state = self.runtime.functions[name]
         return replace(self._collector.function(name), calls=state.call_count)
-
-    def stats_dict(self, name: str) -> Dict[str, int]:
-        """The legacy ``AdaptiveRuntime.stats()`` dict, from EngineStats."""
-        return self.stats(name).as_dict()
 
     def stats_all(self) -> Dict[str, EngineStats]:
         """Per-function :class:`EngineStats` for every registered function."""

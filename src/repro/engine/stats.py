@@ -1,10 +1,9 @@
 """Engine statistics derived from the event stream.
 
-The legacy runtime answered ``stats()`` from hand-maintained counters.
-With the structured event bus in place, the transition counters are a
-*fold* over the events instead: :class:`StatsCollector` subscribes to
-the bus and reduces every :class:`~repro.engine.events.RuntimeEvent`
-into a per-function :class:`EngineStats`.  Because the collector sees
+The transition counters are a *fold* over the event stream — the only
+source of tiering statistics: :class:`StatsCollector` subscribes to the
+bus and reduces every :class:`~repro.engine.events.RuntimeEvent` into a
+per-function :class:`EngineStats`.  Because the collector sees
 events as they are published, its numbers are exact even when the
 bounded ring buffer has evicted old events.
 
@@ -19,7 +18,7 @@ time; everything else is pure reduction.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Mapping
 
 from .events import (
@@ -46,7 +45,7 @@ __all__ = ["EngineStats", "StatsCollector"]
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Per-function tiering statistics (the typed successor of ``stats()``)."""
+    """Per-function tiering statistics, reduced from the event stream."""
 
     calls: int = 0
     compiled: int = 0
@@ -71,27 +70,7 @@ class EngineStats:
     soundness_violations: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """The legacy ``AdaptiveRuntime.stats()`` dict shape."""
-        return {
-            "calls": self.calls,
-            "compiled": self.compiled,
-            "speculative": self.speculative,
-            "guards": self.guards,
-            "inlined_frames": self.inlined_frames,
-            "osr_entries": self.osr_entries,
-            "osr_exits": self.osr_exits,
-            "guard_failures": self.guard_failures,
-            "multiframe_deopts": self.multiframe_deopts,
-            "invalidations": self.invalidations,
-            "dispatch_hits": self.dispatch_hits,
-            "dispatch_misses": self.dispatch_misses,
-            "continuations": self.continuations,
-            "versions": self.versions,
-            "versions_added": self.versions_added,
-            "versions_retired": self.versions_retired,
-            "entry_dispatches": self.entry_dispatches,
-            "soundness_violations": self.soundness_violations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "EngineStats":
@@ -138,9 +117,9 @@ class StatsCollector:
             # A re-registration discards the whole per-name history, not
             # just the installed version: the mechanism starts a fresh
             # TieredFunction, so the fold starts a fresh EngineStats to
-            # stay in exact agreement with it.  (Activations still
-            # executing the superseded version may publish events after
-            # this reset; agreement is guaranteed again once they drain.)
+            # match it.  (Activations still executing the superseded
+            # version may publish events after this reset; the gauges
+            # match the fresh state again once they drain.)
             with self._lock:
                 self._stats[event.function] = EngineStats()
             return

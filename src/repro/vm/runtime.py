@@ -79,7 +79,7 @@ The runtime is safe for concurrent callers (see the README's
   the stored exception re-raises on the next call of that function
   rather than vanishing into the worker.
 
-* **Locked shared structures.**  Per-function counters, the bounded
+* **Locked shared structures.**  Per-function call counts, the bounded
   continuation cache, the failure bookkeeping and the event bus are all
   lock-protected; locks are never held across user-code execution or
   subscriber callbacks.
@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -290,7 +289,7 @@ class ExecutionContext:
 class TieredFunction:
     """Per-function state kept by the runtime.
 
-    Mutable fields are protected by :attr:`lock` (counters, the
+    Mutable fields are protected by :attr:`lock` (the call count, the
     continuation cache, failure bookkeeping, compile-pipeline flags);
     :attr:`versions` is additionally safe to *read* without the lock —
     it only ever holds a complete immutable tuple of
@@ -306,23 +305,12 @@ class TieredFunction:
     versions: Tuple[SpecializedVersion, ...] = ()
     #: Entry-profile clusterer feeding the specialization keys.
     clusterer: EntryClusterer = field(default_factory=EntryClusterer)
+    #: Calls so far (the policy's hotness input and the ``calls`` gauge;
+    #: every other statistic is the event fold, see
+    #: :class:`~repro.engine.stats.StatsCollector`).
     call_count: int = 0
-    osr_entries: int = 0
-    osr_exits: int = 0
-    guard_failures: int = 0
-    multiframe_deopts: int = 0
-    invalidations: int = 0
-    dispatch_hits: int = 0
-    dispatch_misses: int = 0
     #: Monotonic entry-dispatch clock (drives per-version LRU stamps).
     dispatch_seq: int = 0
-    #: Entry dispatches that *switched* versions (phase transitions).
-    entry_dispatches: int = 0
-    versions_added: int = 0
-    versions_retired: int = 0
-    #: Obligations the soundness verifier failed in warn mode (strict
-    #: raises before the version exists, off never checks).
-    soundness_violations: int = 0
     #: Key the most recent call dispatched to (``None`` before the first
     #: optimized call) — the inspection API marks this one.
     last_dispatched_key: Optional[VersionKey] = None
@@ -350,54 +338,11 @@ class TieredFunction:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    # -------------------------------------------------------------- #
-    # Compatibility views over the installed version(s).  ``version``
-    # is the *newest* live entry — the single-version API surface every
-    # pre-multiverse client (and test) programs against.
-    # -------------------------------------------------------------- #
     @property
     def version(self) -> Optional[CompiledVersion]:
+        """The newest live version (``None`` while base-tier)."""
         versions = self.versions
         return versions[-1].version if versions else None
-
-    @property
-    def pair(self) -> Optional[VersionPair]:
-        version = self.version
-        return version.pair if version is not None else None
-
-    @property
-    def deopt_plans(self) -> Mapping[ProgramPoint, DeoptPlan]:
-        version = self.version
-        return version.plans if version is not None else {}
-
-    @property
-    def forward_mapping(self) -> Optional[OSRMapping]:
-        version = self.version
-        return version.forward_mapping if version is not None else None
-
-    @property
-    def speculative(self) -> bool:
-        version = self.version
-        return version.speculative if version is not None else False
-
-    @property
-    def deopt_keep_alive(self) -> FrozenSet[str]:
-        version = self.version
-        return version.keep_alive if version is not None else frozenset()
-
-    @property
-    def optimized(self) -> Optional[Function]:
-        version = self.version
-        return version.optimized if version is not None else None
-
-    @property
-    def is_compiled(self) -> bool:
-        return self.version is not None
-
-    @property
-    def inlined_frames(self) -> int:
-        version = self.version
-        return version.inlined_frames if version is not None else 0
 
 
 class AdaptiveRuntime:
@@ -412,10 +357,7 @@ class AdaptiveRuntime:
     :class:`~repro.engine.events.RuntimeEvent` on the event bus.
 
     Prefer embedding through :class:`repro.engine.Engine`, which wires
-    config, policy, bus and stats reduction together.  Constructing the
-    runtime with the historical keyword arguments
-    (``AdaptiveRuntime(hotness_threshold=3, ...)``) still works as a
-    compatibility shim but emits a :class:`DeprecationWarning`.
+    config, policy, bus and stats reduction together.
 
     One runtime may be shared by any number of threads; registration
     (:meth:`register`/:meth:`register_module`) is the only operation
@@ -430,22 +372,7 @@ class AdaptiveRuntime:
         *,
         policy: Optional[TieringPolicy] = None,
         bus: Optional[EventBus] = None,
-        **legacy_kwargs,
     ) -> None:
-        if legacy_kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either an EngineConfig or legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                "constructing AdaptiveRuntime from keyword arguments is "
-                "deprecated; build an repro.engine.EngineConfig (or use "
-                "repro.engine.Engine) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = EngineConfig.from_legacy_kwargs(**legacy_kwargs)
         self.config = config if config is not None else EngineConfig()
         self.policy: TieringPolicy = policy if policy is not None else HotnessPolicy()
         self.bus = (
@@ -494,37 +421,6 @@ class AdaptiveRuntime:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Config-derived views (an explicit pipeline overrides speculation;
-    # inlining only exists inside the speculative tier).
-    # ------------------------------------------------------------------ #
-    @property
-    def speculate(self) -> bool:
-        return self.config.effective_speculate
-
-    @property
-    def inline(self) -> bool:
-        return self.config.effective_inline
-
-    @property
-    def background_compile(self) -> bool:
-        """Whether compilation runs on the worker pool (off the hot path)."""
-        return self.config.compile_workers >= 1
-
-    @property
-    def events(self) -> List[Tuple[str, str, Optional[ProgramPoint]]]:
-        """Recorded events in the legacy ``(function, kind, point)`` shape.
-
-        Kept for the compatibility shim; new code should subscribe to
-        :attr:`bus` or read :meth:`recorded_events` for typed events.
-        Bounded by the ring buffer — this is a window, not full history.
-        """
-        return [event.as_tuple() for event in self.bus.events()]
-
-    def recorded_events(self) -> List[RuntimeEvent]:
-        """The typed events retained by the bounded recorder."""
-        return self.bus.events()
 
     def _publish(self, event: RuntimeEvent) -> None:
         self.bus.publish(event)
@@ -611,8 +507,8 @@ class AdaptiveRuntime:
         executing the old version finish on it — the name switch is the
         atomic unit, not the in-flight activations; events those
         trailing activations publish land *after* the stats reset, so
-        the mechanism-vs-fold stats agreement is only guaranteed again
-        once the old version's activations have drained.
+        the fold's gauges match the fresh state again only once the old
+        version's activations have drained.
         """
         existing = self.functions.get(function.name)
         if existing is not None and not replace:
@@ -732,14 +628,14 @@ class AdaptiveRuntime:
         config = self.config
         with state.lock:
             key = state.compile_key or GENERIC_KEY
-        if self.speculate:
+        if config.effective_speculate:
             snapshot = self.profile.merged()
             caller_profile = snapshot.function(state.base.name)
             with state.lock:
                 exclude = self._excluded_reasons_locked(state, key)
             if not key.generic:
                 caller_profile = self._pin_profile(state, caller_profile, key)
-            if self.inline:
+            if config.effective_inline:
                 merged = caller_profile.clone()
                 pipeline = interprocedural_pipeline(
                     caller_profile,
@@ -803,10 +699,10 @@ class AdaptiveRuntime:
         :class:`~repro.analysis.soundness.UnsoundVersionError` — the
         version never reaches the table, and on the background pipeline
         the error goes sticky exactly like a compiler crash — and
-        ``warn`` publishes anyway but counts each failed obligation and
-        announces it as a :class:`~repro.engine.events.SoundnessViolation`
-        event.  The report is attached to the published entry so
-        ``repro inspect --show guards`` can render per-guard statuses.
+        ``warn`` publishes anyway but announces each failed obligation as
+        a :class:`~repro.engine.events.SoundnessViolation` event.  The
+        report is attached to the published entry so ``repro inspect
+        --show guards`` can render per-guard statuses.
         """
         if self.verify_deopt == "off":
             return None
@@ -824,8 +720,6 @@ class AdaptiveRuntime:
                     f"[key {key}]"
                 ),
             )
-        with state.lock:
-            state.soundness_violations += len(report.violations)
         for violation in report.violations:
             self._publish(
                 SoundnessViolation(
@@ -885,9 +779,6 @@ class AdaptiveRuntime:
         added = not restored and (
             key.specificity > 0 or len(entries) > 1 or bool(retired)
         )
-        if added:
-            state.versions_added += 1
-        state.versions_retired += len(retired)
         return len(entries), retired, len(state.continuations), added
 
     def _publish_retirements(
@@ -972,9 +863,10 @@ class AdaptiveRuntime:
         rather than :class:`~repro.engine.events.TierUp`: no compilation
         happened in this process, and warm-start clients count tier-ups
         to prove exactly that.  Restored entries never count as *added*
-        (``versions_added`` stays a local-growth counter).  The hydrated
-        backward mapping (if any) seeds the lazy cache directly, since
-        the pair cannot rebuild it.  Hydrating a persisted multiverse is
+        (no :class:`~repro.engine.events.VersionAdded`: ``versions_added``
+        stays a local-growth counter).  The hydrated backward mapping (if
+        any) seeds the lazy cache directly, since the pair cannot rebuild
+        it.  Hydrating a persisted multiverse is
         one call per version, oldest first, each under its own ``key``.
         """
         state = self.functions[name]
@@ -1095,7 +987,7 @@ class AdaptiveRuntime:
                 else:
                     done = state.compile_done
             if done is None:
-                self._compile_now(state, sticky_errors=self.background_compile)
+                self._compile_now(state, sticky_errors=self.config.compile_workers >= 1)
             else:
                 done.wait()
 
@@ -1205,7 +1097,6 @@ class AdaptiveRuntime:
             switched = state.last_dispatched_key != entry.key
             state.last_dispatched_key = entry.key
             if switched and (len(state.versions) > 1 or not entry.key.generic):
-                state.entry_dispatches += 1
                 publish = (str(entry.key), len(state.versions))
         if publish is not None:
             self._publish(
@@ -1248,7 +1139,9 @@ class AdaptiveRuntime:
         if not state.versions:
             if not self.policy.should_compile(state, config):
                 return None
-            if config.max_versions <= 1 or state.invalidations == 0:
+            # An empty table with no refuted reason has never held a
+            # version; one with a refutation was emptied by invalidation.
+            if config.max_versions <= 1 or not state.refuted_reasons:
                 return GENERIC_KEY
             key = state.clusterer.key_for(args)
             if (
@@ -1309,7 +1202,7 @@ class AdaptiveRuntime:
         # job and keep this call (and everything racing it) in its
         # current tier until the finished version is published.
         if claimed:
-            if self.background_compile:
+            if self.config.compile_workers >= 1:
                 self._submit_compile(state)
             else:
                 self._compile_now(state, sticky_errors=False)
@@ -1424,8 +1317,6 @@ class AdaptiveRuntime:
                 return finish_in_base()
             landing_env[name] = paused.env[name]
 
-        with state.lock:
-            state.osr_entries += 1
         self._publish(OptimizingOSR(state.base.name, osr_point))
         try:
             # The backend's OSR entry stub maps the landing ProgramPoint
@@ -1521,6 +1412,7 @@ class AdaptiveRuntime:
         state: TieredFunction,
         failure: GuardFailure,
         entry: SpecializedVersion,
+        count: int,
         args: Optional[Sequence[int]] = None,
     ) -> None:
         """Refute a speculation that keeps failing and schedule a recompile.
@@ -1550,10 +1442,10 @@ class AdaptiveRuntime:
         tags, so a refuted reason may fail to match once and cost one
         extra refute/recompile round before the matching string is
         recorded — a transient performance hiccup, never unsoundness.
+
+        ``count`` is the failing point's tally on ``entry``, already
+        bumped by :meth:`_handle_guard_failure`.
         """
-        with state.lock:
-            count = entry.failures_at.get(failure.point, 0) + 1
-            entry.failures_at[failure.point] = count
         if failure.reason is None or not self.policy.should_invalidate(
             state, failure.point, count, self.config
         ):
@@ -1568,7 +1460,6 @@ class AdaptiveRuntime:
             state.versions = tuple(
                 live for live in state.versions if live is not entry
             )
-            state.invalidations += 1
             survivors = state.versions
             newest = survivors[-1].version if survivors else None
             for ckey in [
@@ -1596,6 +1487,7 @@ class AdaptiveRuntime:
         state: TieredFunction,
         failure: GuardFailure,
         entry: SpecializedVersion,
+        count: int,
         args: Sequence[int],
     ) -> None:
         """Multiverse growth trigger for repeated single-frame failures.
@@ -1612,8 +1504,6 @@ class AdaptiveRuntime:
         if self.config.max_versions <= 1 or failure.reason is None:
             return
         with state.lock:
-            count = entry.failures_at.get(failure.point, 0) + 1
-            entry.failures_at[failure.point] = count
             if not self.policy.should_invalidate(
                 state, failure.point, count, self.config
             ):
@@ -1629,7 +1519,11 @@ class AdaptiveRuntime:
     ) -> ExecutionResult:
         version = entry.version
         with state.lock:
-            state.guard_failures += 1
+            # Every failure counts on the failing version, whatever its
+            # reason or the multiverse bound: the policy and the
+            # inspection API read the same per-point tally.
+            count = entry.failures_at.get(failure.point, 0) + 1
+            entry.failures_at[failure.point] = count
         plan = version.plans.get(failure.point)
         if plan is None:  # pragma: no cover - install guarantees coverage
             raise RuntimeError(
@@ -1644,9 +1538,9 @@ class AdaptiveRuntime:
             )
         )
         if plan.is_multiframe:
-            return self._unwind_multiframe(state, failure, plan, entry, args)
+            return self._unwind_multiframe(state, failure, plan, entry, count, args)
         if args is not None:
-            self._note_single_frame_failure(state, failure, entry, args)
+            self._note_single_frame_failure(state, failure, entry, count, args)
 
         frame = plan.frames[0]
         landing_env = frame.transfer(failure.env)
@@ -1664,10 +1558,6 @@ class AdaptiveRuntime:
                 # continuation instead of re-deoptimizing through f_base.
                 cached.hits += 1
                 hits = cached.hits
-                state.dispatch_hits += 1
-            else:
-                state.dispatch_misses += 1
-                state.osr_exits += 1
         if cached is not None:
             self._publish(
                 DispatchedOSR(state.base.name, failure.point, hits=hits)
@@ -1743,6 +1633,7 @@ class AdaptiveRuntime:
         failure: GuardFailure,
         plan: DeoptPlan,
         entry: SpecializedVersion,
+        count: int,
         args: Optional[Sequence[int]] = None,
     ) -> ExecutionResult:
         """Materialize and resume the reconstructed virtual call stack.
@@ -1754,13 +1645,10 @@ class AdaptiveRuntime:
         return value is bound into the enclosing frame's call
         destination before that frame resumes past its call site.
         """
-        with state.lock:
-            state.osr_exits += 1
-            state.multiframe_deopts += 1
         self._publish(
             MultiFrameDeopt(state.base.name, failure.point, frames=len(plan.frames))
         )
-        self._record_failure(state, failure, entry, args)
+        self._record_failure(state, failure, entry, count, args)
         environments = [frame.transfer(failure.env) for frame in plan.frames]
         failure.frames = [
             FrameState(
@@ -1912,8 +1800,6 @@ class AdaptiveRuntime:
         if paused.stopped_at is None:
             return paused
         landing_env = mapping.transfer(point, paused.env)
-        with state.lock:
-            state.osr_exits += 1
         self._publish(DeoptimizingOSR(name, point, from_guard=False))
         return self.base_backend.run_from(
             state.base,
@@ -1922,40 +1808,6 @@ class AdaptiveRuntime:
             memory=paused.memory,
             previous_block=paused.previous_block,
         )
-
-    def stats(self, name: str) -> Dict[str, int]:
-        """Per-function statistics from the mechanism's own counters.
-
-        Deliberately independent of the event-derived
-        :class:`~repro.engine.stats.EngineStats`: the two are maintained
-        separately and the test suite asserts they agree, which makes
-        the event stream's *completeness* a checked invariant — a
-        transition whose event emission is forgotten (or double-fired)
-        shows up as a stats divergence instead of passing silently.
-        """
-        state = self.functions[name]
-        with state.lock:
-            version = state.version
-            return {
-                "calls": state.call_count,
-                "compiled": int(version is not None),
-                "speculative": int(version.speculative if version else False),
-                "guards": len(version.pair.guard_points()) if version else 0,
-                "inlined_frames": version.inlined_frames if version else 0,
-                "osr_entries": state.osr_entries,
-                "osr_exits": state.osr_exits,
-                "guard_failures": state.guard_failures,
-                "multiframe_deopts": state.multiframe_deopts,
-                "invalidations": state.invalidations,
-                "dispatch_hits": state.dispatch_hits,
-                "dispatch_misses": state.dispatch_misses,
-                "continuations": len(state.continuations),
-                "versions": len(state.versions),
-                "versions_added": state.versions_added,
-                "versions_retired": state.versions_retired,
-                "entry_dispatches": state.entry_dispatches,
-                "soundness_violations": state.soundness_violations,
-            }
 
     @staticmethod
     def _guard_obligations(entry: SpecializedVersion) -> Dict[str, str]:
@@ -1983,9 +1835,9 @@ class AdaptiveRuntime:
     def introspect(self, name: str) -> Dict[str, object]:
         """A read-only, JSON-safe snapshot of one function's tier state.
 
-        The operator-surface view the ``repro inspect`` CLI renders:
-        everything :meth:`stats` counts, plus the facts the counters
-        summarize away — the live version table (per-version dispatch
+        The operator-surface view the ``repro inspect`` CLI renders: the
+        facts the event-derived counters summarize away — the live
+        version table (per-version dispatch
         hits and per-guard-point failure counters), the continuation
         cache's entries with their hit counts, the refuted speculation
         reasons scoped per version key, and the compile pipeline's
@@ -2051,7 +1903,6 @@ class AdaptiveRuntime:
                 "calls": state.call_count,
                 "params": list(state.base.params),
                 "verify_deopt": self.verify_deopt,
-                "soundness_violations": state.soundness_violations,
                 "versions": versions,
                 "continuations": continuations,
                 "continuation_capacity": self.config.continuation_cache_size,

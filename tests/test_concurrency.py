@@ -54,6 +54,7 @@ from repro.workloads import (
     call_kernel_arguments,
     call_kernel_module,
 )
+from stats_checks import assert_stats_consistent
 
 BACKENDS = ("interp", "compiled")
 
@@ -330,7 +331,7 @@ class TestRegisterCollision:
         for _ in range(4):
             assert engine.call("probe", [1]).value == 101  # the new body
         assert engine.stats("probe").compiled == 1
-        assert engine.stats_dict("probe") == engine.runtime.stats("probe")
+        assert_stats_consistent(engine, "probe")
 
     def test_replace_mid_ensure_compiled_terminates(self):
         """ensure_compiled must not spin on a superseded TieredFunction.
@@ -582,10 +583,10 @@ def test_thread_stress_differential(backend, workers, kernel):
         if version is not None:
             for point in version.pair.guard_points():
                 assert point in version.plans
-        # The event fold stayed exact under concurrency: the mechanism's
-        # hand-maintained counters and the StatsCollector reduction must
-        # agree on every field.
-        assert engine.stats_dict(name) == engine.runtime.stats(name)
+        # The event fold stayed exact under concurrency: its gauges match
+        # the mechanism's state and its counters obey the conservation
+        # laws (and replay from the log when nothing was dropped).
+        assert_stats_consistent(engine, name)
 
     total_calls = sum(
         engine.stats(name).calls

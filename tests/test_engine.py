@@ -3,16 +3,13 @@
 Covers the public embedding API end to end: `EngineConfig` validation
 and `from_env`, policy injection (`AlwaysCompile` / `NeverCompile` / a
 counting policy that records every consultation), the bounded event
-ring buffer, the `AdaptiveRuntime(**kwargs)` deprecation shim, and the
-acceptance round-trip — a frontend program driven through warm-up,
-tier-up, guard failure and dispatched continuation with every
-transition observed as a typed `RuntimeEvent` and `EngineStats`
-agreeing with the legacy `stats()` dict on both backends.
+ring buffer, and the acceptance round-trip — a frontend program driven
+through warm-up, tier-up, guard failure and dispatched continuation
+with every transition observed as a typed `RuntimeEvent` and
+`EngineStats` consistent with the mechanism's state on both backends.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -36,7 +33,6 @@ from repro.engine import (
 )
 from repro.ir import run_function
 from repro.ir.function import ProgramPoint
-from repro.vm import AdaptiveRuntime
 from repro.vm.backend import BACKEND_ENV_VAR, BACKEND_NAMES, backend_name_from_env
 from repro.workloads import (
     CALL_KERNEL_SOURCES,
@@ -45,6 +41,7 @@ from repro.workloads import (
     speculative_function,
     speculative_source,
 )
+from stats_checks import assert_stats_consistent
 
 BACKENDS = ("interp", "compiled")
 
@@ -311,64 +308,6 @@ class TestEventRecording:
         assert stats.guard_failures == 8
         assert stats.dispatch_hits == 7
 
-    def test_legacy_tuple_view_matches_typed_events(self):
-        engine = _dispatch_engine()
-        for _ in range(4):
-            args, memory = speculative_arguments("dispatch")
-            engine.call("dispatch", args, memory=memory)
-        tuples = engine.runtime.events
-        assert tuples == [event.as_tuple() for event in engine.events]
-        assert ("dispatch", "tier-up", None) in tuples
-
-
-# ---------------------------------------------------------------------- #
-# The AdaptiveRuntime(**kwargs) compatibility shim.
-# ---------------------------------------------------------------------- #
-
-
-class TestDeprecationShim:
-    def test_legacy_kwargs_emit_exactly_one_deprecation_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runtime = AdaptiveRuntime(hotness_threshold=2, min_samples=2)
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "EngineConfig" in str(deprecations[0].message)
-        # ...and the shim still works end to end.
-        function = speculative_function("dispatch")
-        runtime.register(function)
-        for _ in range(3):
-            args, memory = speculative_arguments("dispatch")
-            expected = run_function(function, args, memory=memory.copy()).value
-            assert runtime.call("dispatch", args, memory=memory).value == expected
-        assert runtime.stats("dispatch")["compiled"] == 1
-
-    def test_config_construction_warns_nothing(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            AdaptiveRuntime(EngineConfig())
-        assert not [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-
-    def test_config_plus_kwargs_is_rejected(self):
-        with pytest.raises(TypeError):
-            AdaptiveRuntime(EngineConfig(), hotness_threshold=5)
-
-    def test_unknown_legacy_kwarg_is_rejected(self):
-        with pytest.raises(TypeError, match="unknown AdaptiveRuntime"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                AdaptiveRuntime(hotness=3)
-
-    def test_legacy_base_backend_none_means_interpreter(self):
-        config = EngineConfig.from_legacy_kwargs(base_backend=None)
-        assert config.base_backend == "interp"
-
 
 # ---------------------------------------------------------------------- #
 # The bounded continuation cache.
@@ -413,7 +352,7 @@ class TestContinuationCacheBound:
         stats = handle.stats
         assert stats.continuations == 1
         assert stats.dispatch_hits == 1
-        assert stats.as_dict() == engine.runtime.stats("twospec")
+        assert_stats_consistent(engine, "twospec")
 
 
 # ---------------------------------------------------------------------- #
@@ -456,15 +395,14 @@ class TestEngineRoundTrip:
         # Ordering: compiled before entered, failed before dispatched.
         assert kinds.index(TierUp) < kinds.index(OptimizingOSR)
         assert kinds.index(GuardFailed) < kinds.index(DispatchedOSR)
-        # Every event names the function and renders the legacy tuple.
+        # Every event names the function.
         assert all(event.function == "dispatch" for event in observed)
 
-        stats = handle.stats
-        assert stats.as_dict() == engine.runtime.stats("dispatch")
+        stats = assert_stats_consistent(engine, "dispatch")
         assert stats.dispatch_hits == 2 and stats.osr_exits == 1
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_interprocedural_stats_agree_with_legacy(self, backend_name):
+    def test_interprocedural_stats_are_consistent(self, backend_name):
         config = EngineConfig(
             hotness_threshold=3,
             min_samples=2,
@@ -481,7 +419,7 @@ class TestEngineRoundTrip:
         assert any(isinstance(event, MultiFrameDeopt) for event in engine.events)
         assert any(isinstance(event, Invalidated) for event in engine.events)
         for name in engine.function_names():
-            assert engine.stats(name).as_dict() == engine.runtime.stats(name)
+            assert_stats_consistent(engine, name)
 
     def test_deopt_points_feed_deoptimize_at(self):
         engine = _dispatch_engine()

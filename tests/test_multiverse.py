@@ -54,6 +54,7 @@ from repro.workloads import (
     polymorphic_function,
     polymorphic_phases,
 )
+from stats_checks import assert_stats_consistent
 
 BACKENDS = ("interp", "compiled")
 
@@ -171,22 +172,21 @@ def test_exact_version_events_and_stats_fold(backend):
     _drive(engine, per_phase)
 
     state = engine.runtime.functions[KERNEL]
+    # The event fold is consistent with the mechanism — including the
+    # version gauges — and replays exactly from the retained log.
+    stats = assert_stats_consistent(engine, KERNEL)
+    assert engine.bus.recorder.dropped == 0
     events = engine.events
     added = [e for e in events if isinstance(e, VersionAdded)]
     retired = [e for e in events if isinstance(e, VersionRetired)]
     dispatched = [e for e in events if isinstance(e, EntryDispatched)]
-    assert len(added) == state.versions_added >= 2
-    assert len(retired) == state.versions_retired == 0
-    assert len(dispatched) == state.entry_dispatches > 0
+    assert len(added) == stats.versions_added >= 2
+    assert len(retired) == stats.versions_retired == 0
+    assert len(dispatched) == stats.entry_dispatches > 0
     assert {e.key for e in added} == {
         str(entry.key) for entry in state.versions if not entry.key.generic
     }
-
-    # The event fold and the mechanism agree exactly — including the
-    # new version gauges and counters.
-    stats = engine.stats_dict(KERNEL)
-    assert stats == engine.runtime.stats(KERNEL)
-    assert stats["versions"] == len(state.versions) >= 2
+    assert stats.versions == len(state.versions) >= 2
 
     # Warm steady-state traffic stays event-free: repeating one phase
     # publishes no EntryDispatched after the first switch to it.
@@ -205,15 +205,15 @@ def test_retirement_at_the_version_bound():
     _drive(engine, per_phase, cycles=6)
 
     state = engine.runtime.functions[KERNEL]
+    # Mechanism and fold stay consistent through retirement churn.
+    stats = assert_stats_consistent(engine, KERNEL)
     assert len(state.versions) <= 2
-    assert state.versions_retired >= 1
+    assert stats.versions_retired >= 1
     retired = [e for e in engine.events if isinstance(e, VersionRetired)]
-    assert len(retired) == state.versions_retired
+    assert len(retired) == stats.versions_retired
     live_keys = {str(entry.key) for entry in state.versions}
     for event in retired:
         assert event.versions <= 2
-    # Mechanism and fold still agree after retirement churn.
-    assert engine.stats_dict(KERNEL) == engine.runtime.stats(KERNEL)
     assert live_keys, "retirement must never empty the table"
 
 
@@ -225,14 +225,14 @@ def test_single_version_config_pins_legacy_behavior():
 
     state = engine.runtime.functions[KERNEL]
     assert [str(entry.key) for entry in state.versions] == ["generic"]
-    assert state.versions_added == 0 and state.versions_retired == 0
-    assert state.entry_dispatches == 0
+    stats = assert_stats_consistent(engine, KERNEL)
+    assert stats.versions_added == 0 and stats.versions_retired == 0
+    assert stats.entry_dispatches == 0
     assert not [
         e
         for e in engine.events
         if isinstance(e, (VersionAdded, VersionRetired, EntryDispatched))
     ]
-    assert engine.stats_dict(KERNEL) == engine.runtime.stats(KERNEL)
 
 
 # ---------------------------------------------------------------------- #
@@ -308,7 +308,7 @@ def test_policy_can_veto_version_growth():
 
     state = engine.runtime.functions[KERNEL]
     assert [str(entry.key) for entry in state.versions] == ["generic"]
-    assert state.versions_added == 0
+    assert assert_stats_consistent(engine, KERNEL).versions_added == 0
     assert policy.proposals, "the hook was never consulted"
     assert any(key != "generic" for key in policy.proposals)
 
@@ -368,8 +368,7 @@ def test_warm_start_restores_the_multiverse(backend, tmp_path):
     assert not [e for e in warm.events if isinstance(e, TierUp)]
     restores = [e for e in warm.events if isinstance(e, VersionRestored)]
     assert restores and restores[-1].versions == len(saved_keys)
-    assert warm.stats_dict(KERNEL) == warm.runtime.stats(KERNEL)
-    assert warm.stats(KERNEL).versions == len(saved_keys)
+    assert assert_stats_consistent(warm, KERNEL).versions == len(saved_keys)
 
 
 def test_warm_start_truncates_to_the_opening_bound(tmp_path):
@@ -444,5 +443,5 @@ def test_thread_stress_phase_shifting(backend):
     for entry in state.versions:
         for point in entry.version.pair.guard_points():
             assert point in entry.version.plans
-    assert engine.stats_dict(KERNEL) == engine.runtime.stats(KERNEL)
-    assert engine.stats(KERNEL).calls == STRESS_THREADS * 24
+    stats = assert_stats_consistent(engine, KERNEL)
+    assert stats.calls == STRESS_THREADS * 24

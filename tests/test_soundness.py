@@ -69,6 +69,7 @@ from repro.workloads import (
     speculative_arguments,
     speculative_function,
 )
+from stats_checks import assert_stats_consistent
 
 BACKENDS = ("interp", "compiled")
 
@@ -540,11 +541,13 @@ class TestRuntimeGating:
         with state.lock:
             entries = list(state.versions)
         assert entries  # warn mode still publishes
-        mechanism = engine.runtime.stats("dispatch")["soundness_violations"]
-        fold = engine.stats("dispatch").soundness_violations
-        assert mechanism == fold > 0
+        fold = assert_stats_consistent(engine, "dispatch").soundness_violations
+        per_version = sum(
+            len(entry.verify_report.violations) for entry in entries
+        )
+        assert per_version == fold > 0
         events = [e for e in engine.events if isinstance(e, SoundnessViolation)]
-        assert len(events) == mechanism
+        assert len(events) == fold
         assert all(
             e.obligation == "completeness/definite-assignment" for e in events
         )
@@ -606,7 +609,7 @@ class TestHydrationGating:
             POLY_SRC, root, config=EngineConfig(verify_deopt="warn")
         )
         assert "poly" in engine.restored_functions
-        assert engine.runtime.stats("poly")["soundness_violations"] > 0
+        assert assert_stats_consistent(engine, "poly").soundness_violations > 0
 
     def test_strict_accepts_a_clean_store(self, tmp_path):
         root = tmp_path / "store"
