@@ -343,11 +343,11 @@ def _backend_speedups(repeats: int, dump_dir: Path = None) -> dict:
     The emitter that lowered each kernel is recorded next to its ratio,
     and the generated source is written into ``dump_dir`` when given (CI
     uploads that directory next to the recording, so a perf question can
-    start from the exact code that ran).  Under structured codegen a
-    kernel that quietly falls back to the dispatch emitter is a hard
-    *failure*: the per-kernel floors were recorded against structured
-    code, and a silent fallback would otherwise surface only as an
-    unexplained slowdown on some future run.
+    start from the exact code that ran).  A kernel that quietly falls
+    back to the dispatch emitter is a hard *failure*: the per-kernel
+    floors were recorded against structured code, and a silent fallback
+    would otherwise surface only as an unexplained slowdown on some
+    future run.
     """
     interp = InterpreterBackend(step_limit=50_000_000)
     compiled = CompiledBackend(step_limit=50_000_000)
@@ -375,11 +375,11 @@ def _backend_speedups(repeats: int, dump_dir: Path = None) -> dict:
         if dump_dir is not None:
             dump_dir.mkdir(parents=True, exist_ok=True)
             (dump_dir / f"{name}.py").write_text(artifact.source)
-        if compiled.compiler.codegen == "structured" and artifact.emitter != "structured":
+        if artifact.emitter != "structured":
             raise AssertionError(
                 f"kernel {name} silently fell back to the {artifact.emitter!r} "
-                f"emitter under structured codegen; fix the structuring "
-                f"analysis or exclude the kernel explicitly"
+                f"emitter; fix the structuring analysis or exclude the "
+                f"kernel explicitly"
             )
         warm = compiled.run(function, args, memory=memory.copy())
         reference = interp.run(function, args, memory=memory.copy())
@@ -403,7 +403,6 @@ def _backend_speedups(repeats: int, dump_dir: Path = None) -> dict:
     return {
         "interp_vs_compiled": speedups,
         "emitters": emitters,
-        "codegen": compiled.compiler.codegen,
         "loop_kernel_min_speedup": round(min(loop_ratios), 4),
         "loop_kernels": list(BACKEND_LOOP_KERNELS),
         "compile_seconds": round(compile_seconds, 4),

@@ -23,7 +23,6 @@ from .events import (
     REREGISTERED,
     ContinuationCached,
     ContinuationEvicted,
-    ContinuationHit,
     DeoptimizingOSR,
     DispatchedOSR,
     EntryDispatched,
@@ -85,7 +84,6 @@ __all__ = [
     "GuardFailed",
     "DeoptimizingOSR",
     "DispatchedOSR",
-    "ContinuationHit",
     "ContinuationCached",
     "ContinuationEvicted",
     "MultiFrameDeopt",

@@ -66,7 +66,6 @@ __all__ = [
     "GuardFailed",
     "DeoptimizingOSR",
     "DispatchedOSR",
-    "ContinuationHit",
     "ContinuationCached",
     "ContinuationEvicted",
     "MultiFrameDeopt",
@@ -265,10 +264,6 @@ class DispatchedOSR(RuntimeEvent):
     hits: int = 0
 
     kind: ClassVar[str] = "dispatched-osr"
-
-
-#: A dispatched OSR *is* a continuation-cache hit; both names are public.
-ContinuationHit = DispatchedOSR
 
 
 @dataclass(frozen=True)

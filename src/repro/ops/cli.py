@@ -549,15 +549,10 @@ def _lint_store_dir(root: Path) -> List[Dict[str, object]]:
             artifact = artifact_store.get(key.function, key.config_fingerprint)
             if artifact is None:
                 continue
-            payloads = (
-                [item["tier"] for item in artifact.tier_versions]
-                if artifact.tier_versions
-                else ([artifact.tier] if artifact.tier is not None else [])
-            )
-            for payload in payloads:
+            for item in artifact.versions:
                 rows.extend(
                     _lint_row(str(root), f)
-                    for f in lint_tier_payload(payload, key.function)
+                    for f in lint_tier_payload(item["tier"], key.function)
                 )
     except StoreError as exc:
         raise click.ClickException(f"{type(exc).__name__}: {exc}")
@@ -750,18 +745,13 @@ def store_list(root: str, fingerprint: Optional[str], fmt: str) -> None:
             artifact = artifact_store.get(key.function, key.config_fingerprint)
             if artifact is None:
                 continue
-            versions = (
-                len(artifact.tier_versions)
-                if artifact.tier_versions is not None
-                else int(artifact.tier is not None)
-            )
             rows.append(
                 {
                     "function": key.function,
                     "fingerprint": key.config_fingerprint,
                     "base_ir_hash": key.base_ir_hash,
-                    "tier": artifact.tier is not None,
-                    "versions": versions,
+                    "tier": bool(artifact.versions),
+                    "versions": len(artifact.versions),
                 }
             )
     except StoreError as exc:

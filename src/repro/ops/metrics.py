@@ -7,11 +7,12 @@ latency histogram.  The exporter never polls the engine — warm
 steady-state calls publish no events and therefore cost nothing, which
 is what keeps the ``subscribed_vs_plain`` overhead gate honest.
 
-Exactness is load-bearing: the per-function transition counters the
-exporter serves are *the same fold* the engine's own
-:class:`~repro.engine.stats.StatsCollector` performs (the exporter
-embeds one), so a Prometheus scrape agrees with
-:meth:`Engine.stats` to the last increment.  On top of that shared
+Exactness is load-bearing: the per-function transition counters an
+:meth:`attach`-ed exporter serves *are* the engine's own
+:class:`~repro.engine.stats.StatsCollector` fold, read at scrape time,
+so a Prometheus scrape agrees with :meth:`Engine.stats` to the last
+increment.  An unattached exporter fed a replayed stream (``repro top
+--follow``) folds into an embedded collector instead.  On top of that
 fold the exporter keeps the streams only operators want — guard
 failures by reason, tier-ups by version key, event totals by kind, and
 a compile-latency histogram fed by ``TierUp.compile_seconds``.
@@ -402,7 +403,10 @@ class MetricsExporter:
     # The fold.
     # ------------------------------------------------------------------ #
     def __call__(self, event: RuntimeEvent) -> None:
-        self._collector(event)
+        # An attached exporter serves the engine's own fold; only an
+        # offline replay (no engine behind it) needs a fold of its own.
+        if self._engine is None:
+            self._collector(event)
         self.events_total.inc((event.kind,))
         if isinstance(event, TierUp):
             self.tier_ups.inc((event.function, event.key))

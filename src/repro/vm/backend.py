@@ -226,16 +226,13 @@ class CompiledBackend(ExecutionBackend):
         module: Optional[Module] = None,
         natives: Optional[Mapping[str, NativeFunction]] = None,
         step_limit: int = 2_000_000,
-        codegen: Optional[str] = None,
     ) -> None:
         self.module = module
         self.natives: Dict[str, NativeFunction] = dict(natives or {})
         reject_reserved_names(self.natives)
         self.step_limit = step_limit
         self.compiler = ClosureCompiler(
-            step_limit=step_limit,
-            resolve_call=self._resolve_call,
-            codegen=codegen,
+            step_limit=step_limit, resolve_call=self._resolve_call
         )
 
     # -------------------------------------------------------------- #

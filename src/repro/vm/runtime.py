@@ -258,7 +258,8 @@ class SpecializedVersion:
     last_used: int = 0
     #: Per-guard-point failure counters of *this* version.
     failures_at: Dict[ProgramPoint, int] = field(default_factory=dict)
-    #: Lazily built full backward mapping of this version.
+    #: Full backward mapping of this version: built lazily, or seeded
+    #: with :attr:`CompiledVersion.backward` when hydrated.
     backward_cache: Optional[OSRMapping] = None
     #: The static soundness verifier's report for this version (``None``
     #: when it was published with ``verify_deopt="off"``) — the
@@ -689,8 +690,7 @@ class AdaptiveRuntime:
         state: TieredFunction,
         version: CompiledVersion,
         key: VersionKey,
-        *,
-        restored: bool = False,
+        restored: bool,
     ) -> Optional[VerifyReport]:
         """Run the static soundness verifier against an unpublished version.
 
@@ -741,20 +741,19 @@ class AdaptiveRuntime:
         state: TieredFunction,
         version: CompiledVersion,
         key: VersionKey,
-        *,
-        backward: Optional[OSRMapping] = None,
-        restored: bool = False,
-        report: Optional[VerifyReport] = None,
-    ) -> Tuple[int, List[SpecializedVersion], int, bool]:
+        report: Optional[VerifyReport],
+    ) -> Tuple[int, List[SpecializedVersion], int]:
         """Insert ``version`` into the table under the state lock.
 
         Replaces any live entry with the same key, retires the
         least-recently-dispatched entries beyond ``max_versions``, and
         flushes continuations belonging to replaced/retired keys (a
         continuation specialized against a dead version must not serve
-        a live one).  Returns ``(live_count, retired_entries,
-        surviving_continuations, counted_as_added)`` for the caller to
-        publish outside the lock.  Caller must hold ``state.lock``.
+        a live one).  A hydrated version's backward mapping seeds the
+        lazy cache directly, since its pair cannot rebuild one.  Returns
+        ``(live_count, retired_entries, surviving_continuations)`` for
+        the caller to publish outside the lock.  Caller must hold
+        ``state.lock``.
         """
         entries = [e for e in state.versions if e.key != key]
         state.dispatch_seq += 1
@@ -763,7 +762,7 @@ class AdaptiveRuntime:
                 key=key,
                 version=version,
                 last_used=state.dispatch_seq,
-                backward_cache=backward,
+                backward_cache=version.backward,
                 verify_report=report,
             )
         )
@@ -776,127 +775,83 @@ class AdaptiveRuntime:
         dead_keys = {key} | {victim.key for victim in retired}
         for ckey in [c for c in state.continuations if c[0] in dead_keys]:
             del state.continuations[ckey]
-        added = not restored and (
-            key.specificity > 0 or len(entries) > 1 or bool(retired)
-        )
-        return len(entries), retired, len(state.continuations), added
+        return len(entries), retired, len(state.continuations)
 
-    def _publish_retirements(
-        self,
-        name: str,
-        version: CompiledVersion,
-        live: int,
-        retired: List[SpecializedVersion],
-        continuations: int,
-    ) -> None:
-        """Announce retired entries; gauges describe the newest survivor."""
-        for victim in retired:
-            self._publish(
-                VersionRetired(
-                    name,
-                    key=str(victim.key),
-                    versions=live,
-                    speculative=version.speculative,
-                    guards=len(version.pair.guard_points()),
-                    inlined_frames=version.inlined_frames,
-                    continuations=continuations,
-                )
-            )
-
-    def _install(
+    def publish_version(
         self,
         state: TieredFunction,
         version: CompiledVersion,
         key: VersionKey = GENERIC_KEY,
         *,
+        restored: bool = False,
         compile_seconds: float = 0.0,
     ) -> None:
-        """Atomically publish a finished version into the version table."""
-        # The soundness gate runs first, on the compiling thread: a
+        """Verify, prepare and atomically publish a version into the table.
+
+        The one publication path, for versions built here and versions
+        hydrated from a persisted artifact (``restored``; a persisted
+        multiverse is one call per version, oldest first, each under its
+        own ``key``).  The two differ only in what they announce: a
+        build publishes :class:`~repro.engine.events.TierUp` (plus
+        :class:`~repro.engine.events.VersionAdded` when the multiverse
+        grew), a restore publishes
+        :class:`~repro.engine.events.VersionRestored` — no compilation
+        happened in this process, warm-start clients count tier-ups to
+        prove exactly that, and ``versions_added`` stays a local-growth
+        counter.  A state superseded by a re-registration meanwhile
+        publishes nothing.
+        """
+        # The soundness gate runs first, on the publishing thread: a
         # strict rejection must happen before the backend spends work on
-        # an artifact that will never be published.
-        report = self._verify_before_publish(state, version, key)
-        # Pre-build the backend artifact on the compiling thread so the
+        # an artifact that will never be published.  Hydrated artifacts
+        # are *less* trusted than local builds — they may come from an
+        # older engine or a hand-edited store — so the gate covers them
+        # identically.
+        report = self._verify_before_publish(state, version, key, restored)
+        # Pre-build the backend artifact off the request path so the
         # published version is ready to *run*: without this, the first
         # optimized call would pay the closure lowering on the request
         # path — exactly the stall background compilation exists to
         # remove.  (Synchronous mode merely moves the cost within the
         # triggering call.)
         self.opt_backend.prepare(version.optimized)
-        with state.lock:
-            if self.functions.get(state.base.name) is not state:
-                return  # superseded by a re-registration while compiling
-            live, retired, continuations, added = self._admit_version(
-                state, version, key, report=report
-            )
-        self._publish(
-            TierUp(
-                state.base.name,
-                speculative=version.speculative,
-                guards=len(version.pair.guard_points()),
-                inlined_frames=version.inlined_frames,
-                key=str(key),
-                versions=live,
-                compile_seconds=round(compile_seconds, 6),
-            )
-        )
-        if added:
-            self._publish(
-                VersionAdded(state.base.name, key=str(key), versions=live)
-            )
-        self._publish_retirements(
-            state.base.name, version, live, retired, continuations
-        )
-
-    def install_restored(
-        self,
-        name: str,
-        version: CompiledVersion,
-        *,
-        key: VersionKey = GENERIC_KEY,
-    ) -> None:
-        """Install a version hydrated from a persisted artifact (warm start).
-
-        Mirrors :meth:`_install` — backend artifact pre-built off the
-        request path, single-assignment publish into the version table —
-        but announces :class:`~repro.engine.events.VersionRestored`
-        rather than :class:`~repro.engine.events.TierUp`: no compilation
-        happened in this process, and warm-start clients count tier-ups
-        to prove exactly that.  Restored entries never count as *added*
-        (no :class:`~repro.engine.events.VersionAdded`: ``versions_added``
-        stays a local-growth counter).  The hydrated backward mapping (if
-        any) seeds the lazy cache directly, since the pair cannot rebuild
-        it.  Hydrating a persisted multiverse is
-        one call per version, oldest first, each under its own ``key``.
-        """
-        state = self.functions[name]
-        # Hydrated artifacts are *less* trusted than local builds — they
-        # may come from an older engine or a hand-edited store — so the
-        # gate covers them identically.
-        report = self._verify_before_publish(state, version, key, restored=True)
-        self.opt_backend.prepare(version.optimized)
+        name = state.base.name
         with state.lock:
             if self.functions.get(name) is not state:
-                return  # superseded by a re-registration while hydrating
-            live, retired, continuations, _ = self._admit_version(
-                state,
-                version,
-                key,
-                backward=version.backward,
-                restored=True,
-                report=report,
+                return  # superseded by a re-registration meanwhile
+            live, retired, continuations = self._admit_version(
+                state, version, key, report
             )
-        self._publish(
-            VersionRestored(
-                name,
-                speculative=version.speculative,
-                guards=len(version.pair.guard_points()),
-                inlined_frames=version.inlined_frames,
-                key=str(key),
-                versions=live,
-            )
+        shape = dict(
+            speculative=version.speculative,
+            guards=len(version.pair.guard_points()),
+            inlined_frames=version.inlined_frames,
         )
-        self._publish_retirements(name, version, live, retired, continuations)
+        if restored:
+            self._publish(VersionRestored(name, key=str(key), versions=live, **shape))
+        else:
+            self._publish(
+                TierUp(
+                    name,
+                    key=str(key),
+                    versions=live,
+                    compile_seconds=round(compile_seconds, 6),
+                    **shape,
+                )
+            )
+            if key.specificity > 0 or live > 1 or retired:
+                self._publish(VersionAdded(name, key=str(key), versions=live))
+        # Gauges on a retirement describe the newest survivor.
+        for victim in retired:
+            self._publish(
+                VersionRetired(
+                    name,
+                    key=str(victim.key),
+                    versions=live,
+                    continuations=continuations,
+                    **shape,
+                )
+            )
 
     def _compile_now(self, state: TieredFunction, *, sticky_errors: bool) -> None:
         """Run one claimed compile job to completion (build + publish).
@@ -911,7 +866,7 @@ class AdaptiveRuntime:
             version = self._build_version(state)
             with state.lock:
                 key = state.compile_key or GENERIC_KEY
-            self._install(
+            self.publish_version(
                 state,
                 version,
                 key,
@@ -923,12 +878,7 @@ class AdaptiveRuntime:
                     state.compile_error = exc
             raise
         finally:
-            with state.lock:
-                state.compile_inflight = False
-                state.compile_key = None
-                done, state.compile_done = state.compile_done, None
-            if done is not None:
-                done.set()
+            self._release_compile_claim(state)
 
     def _submit_compile(self, state: TieredFunction) -> None:
         """Hand a claimed compile job to the worker pool."""
@@ -948,7 +898,16 @@ class AdaptiveRuntime:
         except RuntimeError:  # pool shut down between claim and submit
             self._release_compile_claim(state)
 
-    def _release_compile_claim(self, state: TieredFunction) -> None:
+    @staticmethod
+    def _claim_compile_locked(state: TieredFunction, key: VersionKey) -> None:
+        """Take the function's compile claim for ``key`` (lock held)."""
+        state.compile_inflight = True
+        state.compile_key = key
+        state.compile_done = threading.Event()
+
+    @staticmethod
+    def _release_compile_claim(state: TieredFunction) -> None:
+        """Drop the compile claim and wake everyone waiting on it."""
         with state.lock:
             state.compile_inflight = False
             state.compile_key = None
@@ -958,31 +917,28 @@ class AdaptiveRuntime:
 
     def ensure_compiled(self, name: str) -> CompiledVersion:
         """The installed version of ``name``, compiling (and waiting) if needed."""
-        return self._ensure_compiled_state(name)[1]
+        return self._ensure_compiled_state(name)[1].version
 
     def _ensure_compiled_state(
         self, name: str
-    ) -> Tuple[TieredFunction, CompiledVersion]:
-        """The current state *and* its installed version, as a matched pair.
+    ) -> Tuple[TieredFunction, SpecializedVersion]:
+        """The current state *and* its newest live entry, as a matched pair.
 
         The state is re-fetched by name on every loop turn: a
         ``register(replace=True)`` can supersede the TieredFunction
-        mid-wait, in which case installs against the old state are
+        mid-wait, in which case publications against the old state are
         refused — looping on the stale object would claim, build and be
         refused forever.
         """
         while True:
             state = self.functions[name]
             with state.lock:
-                version = state.version
-                if version is not None:
-                    return state, version
+                if state.versions:
+                    return state, state.versions[-1]
                 if state.compile_error is not None:
                     raise state.compile_error
                 if not state.compile_inflight:
-                    state.compile_inflight = True
-                    state.compile_key = GENERIC_KEY
-                    state.compile_done = threading.Event()
+                    self._claim_compile_locked(state, GENERIC_KEY)
                     done = None
                 else:
                     done = state.compile_done
@@ -1184,15 +1140,12 @@ class AdaptiveRuntime:
             state.call_count += 1
             state.clusterer.observe(args)
             error = state.compile_error
-            claimed = False
+            claim_key = None
             if error is None and not state.compile_inflight:
                 matched = self._select_locked(state, args)
                 claim_key = self._propose_key_locked(state, args, matched)
                 if claim_key is not None:
-                    claimed = True
-                    state.compile_inflight = True
-                    state.compile_key = claim_key
-                    state.compile_done = threading.Event()
+                    self._claim_compile_locked(state, claim_key)
         if error is not None:
             raise error
 
@@ -1201,39 +1154,34 @@ class AdaptiveRuntime:
         # mid-execution of this very call; in background mode submit the
         # job and keep this call (and everything racing it) in its
         # current tier until the finished version is published.
-        if claimed:
+        compiled_now = False
+        if claim_key is not None:
             if self.config.compile_workers >= 1:
                 self._submit_compile(state)
             else:
                 self._compile_now(state, sticky_errors=False)
-                entry = self._dispatch(state, args)
-                if entry is not None:
-                    candidates, loop_points = self._osr_entry_candidates(
-                        state, entry.version
-                    )
-                    osr_point = self.policy.select_osr_point(
-                        state, candidates, loop_points, self.config
-                    )
-                    if osr_point is not None and osr_point not in candidates:
-                        raise ValueError(
-                            f"policy selected OSR point {osr_point}, which is "
-                            f"not a mapped pause-capable point of @{name}"
-                        )
-                    if osr_point is not None:
-                        return self._call_with_osr(
-                            state, entry, args, memory, osr_point
-                        )
-                    return self._run_optimized(state, entry, args, memory)
-                return self.base_backend.run(
-                    state.base, args, memory=memory, profiler=self.profile
-                )
+                compiled_now = True
 
         entry = self._dispatch(state, args)
-        if entry is not None:
-            return self._run_optimized(state, entry, args, memory)
-        return self.base_backend.run(
-            state.base, args, memory=memory, profiler=self.profile
-        )
+        if entry is None:
+            return self.base_backend.run(
+                state.base, args, memory=memory, profiler=self.profile
+            )
+        if compiled_now:
+            candidates, loop_points = self._osr_entry_candidates(
+                state, entry.version
+            )
+            osr_point = self.policy.select_osr_point(
+                state, candidates, loop_points, self.config
+            )
+            if osr_point is not None:
+                if osr_point not in candidates:
+                    raise ValueError(
+                        f"policy selected OSR point {osr_point}, which is "
+                        f"not a mapped pause-capable point of @{name}"
+                    )
+                return self._call_with_osr(state, entry, args, memory, osr_point)
+        return self._run_optimized(state, entry, args, memory)
 
     def _run_optimized(
         self,
@@ -1718,45 +1666,19 @@ class AdaptiveRuntime:
         points — it is built lazily on first use (compiling the function
         first if necessary, waiting for an in-flight background compile).
         """
-        state, version = self._ensure_compiled_state(name)
-        return self._backward_mapping(state, version)
-
-    def _entry_for(
-        self, state: TieredFunction, version: CompiledVersion
-    ) -> SpecializedVersion:
-        """The live table entry wrapping ``version``, or a transient one.
-
-        The transient wrapper (for a version invalidated or replaced
-        since the caller read it) keeps failure handling working against
-        exactly the version that raised — its bookkeeping simply isn't
-        published anywhere, matching the old "stale version" semantics.
-        """
-        with state.lock:
-            for entry in state.versions:
-                if entry.version is version:
-                    return entry
-        return SpecializedVersion(key=GENERIC_KEY, version=version)
+        state, entry = self._ensure_compiled_state(name)
+        return self._backward_mapping(state, entry)
 
     def _backward_mapping(
-        self, state: TieredFunction, version: CompiledVersion
+        self, state: TieredFunction, entry: SpecializedVersion
     ) -> OSRMapping:
-        """The backward mapping of exactly ``version`` (cached while installed)."""
+        """The backward mapping of exactly ``entry``'s version (built once)."""
         with state.lock:
-            for entry in state.versions:
-                if entry.version is version:
-                    if entry.backward_cache is not None:
-                        return entry.backward_cache
-                    break
-        mapping = (
-            version.backward
-            if version.backward is not None
-            else version.pair.backward_mapping(self.config.mode)
-        )
-        with state.lock:
-            for entry in state.versions:
-                if entry.version is version:
-                    entry.backward_cache = mapping
-                    break
+            mapping = entry.backward_cache
+        if mapping is None:
+            mapping = entry.version.pair.backward_mapping(self.config.mode)
+            with state.lock:
+                entry.backward_cache = mapping
         return mapping
 
     def deoptimize_at(
@@ -1774,14 +1696,17 @@ class AdaptiveRuntime:
         Raises :class:`KeyError` when ``point`` has no backward mapping
         entry — deoptimization is simply not supported there.
         """
-        # Resolve the state, the version and its mapping as ONE matched
+        # Resolve the state, the entry and its mapping as ONE matched
         # set: resolving the mapping through a second by-name lookup
         # could pair this version's paused environment with a
-        # concurrently rebuilt version's register mapping.
-        state, version = self._ensure_compiled_state(name)
-        mapping = self._backward_mapping(state, version)
-        entry = mapping.lookup(point)
-        if entry is None:
+        # concurrently rebuilt version's register mapping.  A guard
+        # failure below resolves against the same entry, even if it has
+        # been invalidated or replaced meanwhile.
+        state, entry = self._ensure_compiled_state(name)
+        version = entry.version
+        mapping = self._backward_mapping(state, entry)
+        landing = mapping.lookup(point)
+        if landing is None:
             raise KeyError(f"deoptimization not supported at {point}")
         try:
             # Pausing at an arbitrary point needs ``break_at``, which only
@@ -1794,16 +1719,14 @@ class AdaptiveRuntime:
         except GuardFailure as failure:
             # A speculation failed before reaching the requested point;
             # the guard's own deoptimization wins.
-            return self._handle_guard_failure(
-                state, failure, self._entry_for(state, version), list(args)
-            )
+            return self._handle_guard_failure(state, failure, entry, list(args))
         if paused.stopped_at is None:
             return paused
         landing_env = mapping.transfer(point, paused.env)
         self._publish(DeoptimizingOSR(name, point, from_guard=False))
         return self.base_backend.run_from(
             state.base,
-            entry.target,
+            landing.target,
             landing_env,
             memory=paused.memory,
             previous_block=paused.previous_block,

@@ -585,8 +585,8 @@ def _tampered_store(tmp_path, mutate):
     engine.save(root)
     entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
     data = json.loads(entry.read_text())
-    assert data["tier"] is not None
-    mutate(data["tier"])
+    assert data["versions"]
+    mutate(data["versions"][-1]["tier"])
     entry.write_text(json.dumps(data))
     return root
 
@@ -632,14 +632,14 @@ class TestHydrationGating:
             ),
         )
         entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
-        payload = json.loads(entry.read_text())["tier"]
+        payload = json.loads(entry.read_text())["versions"][-1]["tier"]
         findings = lint_tier_payload(payload, "poly")
         assert any(f.rule == "mapping-range" for f in findings)
 
     def test_lint_tier_payload_flags_missing_plan(self, tmp_path):
         root = _tampered_store(tmp_path, lambda tier: tier["plans"].pop())
         entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
-        payload = json.loads(entry.read_text())["tier"]
+        payload = json.loads(entry.read_text())["versions"][-1]["tier"]
         findings = lint_tier_payload(payload, "poly")
         assert any(f.rule == "guard-coverage" for f in findings)
 
@@ -651,5 +651,5 @@ class TestHydrationGating:
         engine.wait_for_compilation(timeout=30.0)
         engine.save(root)
         entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
-        payload = json.loads(entry.read_text())["tier"]
+        payload = json.loads(entry.read_text())["versions"][-1]["tier"]
         assert lint_tier_payload(payload, "poly") == []

@@ -44,7 +44,13 @@ from repro.store import (
 )
 from repro.store.codec import decode_version, encode_version
 from repro.vm.profile import FunctionProfile
-from repro.workloads import speculative_arguments, speculative_function
+from repro.workloads import (
+    polymorphic_arguments,
+    polymorphic_function,
+    polymorphic_phases,
+    speculative_arguments,
+    speculative_function,
+)
 
 BACKENDS = ("interp", "compiled")
 
@@ -72,6 +78,22 @@ entry:
 def warm_poly(engine, calls=12):
     for _ in range(calls):
         engine.call("poly", [3, 20])
+    return engine
+
+
+MULTIVERSE_CONFIG = EngineConfig(hotness_threshold=3, min_samples=2, max_versions=4)
+
+
+def multiverse_engine(calls_per_phase=8, cycles=5):
+    """A ``modal_sum`` engine driven through its phases into several versions."""
+    engine = Engine.from_functions(
+        polymorphic_function("modal_sum"), config=MULTIVERSE_CONFIG
+    )
+    for _ in range(cycles):
+        for mode in polymorphic_phases("modal_sum"):
+            args, memory = polymorphic_arguments("modal_sum", mode)
+            for _ in range(calls_per_phase):
+                engine.call("modal_sum", args, memory=memory)
     return engine
 
 
@@ -304,7 +326,7 @@ class TestVersionCodec:
         state = runtime.functions[name]
         version = state.version
         assert version is not None
-        backward = runtime._backward_mapping(state, version)
+        backward = runtime._backward_mapping(state, state.versions[-1])
         payload = encode_version(version, backward)
         assert json.loads(json.dumps(payload)) == payload  # JSON-clean
         decoded = decode_version(payload, state.base, lambda n: runtime.functions[n].base)
@@ -316,7 +338,7 @@ class TestVersionCodec:
         runtime = engine.runtime
         state = runtime.functions["poly"]
         payload = encode_version(
-            state.version, runtime._backward_mapping(state, state.version)
+            state.version, runtime._backward_mapping(state, state.versions[-1])
         )
         assert payload["plans"]
         broken = dict(payload, plans=[])
@@ -528,13 +550,29 @@ class TestStaleness:
         with pytest.raises(StoreFormatError, match="format 99"):
             ArtifactStore(root).get("poly", fingerprint)
 
+    def test_format_1_artifact_is_refused(self, tmp_path):
+        # The single-version layout of format 1: the newest version under
+        # a top-level "tier" key instead of a "versions" list.
+        root = tmp_path / "store"
+        warm_poly(Engine.from_source(POLY_SRC)).save(root)
+        fingerprint = EngineConfig().fingerprint()
+        entry = root / "objects" / fingerprint / "poly.json"
+        data = json.loads(entry.read_text())
+        data["format"] = 1
+        data["tier"] = data.pop("versions")[-1]["tier"]
+        entry.write_text(json.dumps(data))
+        with pytest.raises(StoreFormatError, match="format 1"):
+            ArtifactStore(root).get("poly", fingerprint)
+        with pytest.raises(StoreFormatError, match="format 1"):
+            Engine.open(POLY_SRC, root)
+
     def test_corrupt_tier_payload_is_refused(self, tmp_path):
         root = tmp_path / "store"
         warm_poly(Engine.from_source(POLY_SRC)).save(root)
         fingerprint = EngineConfig().fingerprint()
         entry = root / "objects" / fingerprint / "poly.json"
         data = json.loads(entry.read_text())
-        data["tier"]["plans"] = []
+        data["versions"][-1]["tier"]["plans"] = []
         entry.write_text(json.dumps(data))
         with pytest.raises(ArtifactDecodeError):
             Engine.open(POLY_SRC, root)
@@ -585,12 +623,51 @@ class TestMergeAndRepublish:
                     artifact.key.function, artifact.key.base_ir_hash, fingerprint
                 ),
                 profile=artifact.profile,
-                tier=None,
                 function_hashes=artifact.function_hashes,
             )
             store.put(rekeyed)
         merged = store.get("poly", fingerprint)
-        assert merged.tier is not None  # the stored compiled tier survived
+        assert merged.versions  # the stored compiled tier survived
+
+    def test_multiverse_artifact_holds_each_version_once(self, tmp_path):
+        root = tmp_path / "store"
+        engine = multiverse_engine()
+        state = engine.runtime.functions["modal_sum"]
+        assert len(state.versions) >= 2
+        engine.save(root)
+        entry = root / "objects" / MULTIVERSE_CONFIG.fingerprint() / "modal_sum.json"
+        raw = entry.read_text()
+        data = json.loads(raw)
+        assert [item["key"] for item in data["versions"]] == [
+            live.key.as_json() for live in state.versions
+        ]
+        # Every encoded version carries exactly one optimized body.
+        assert raw.count('"optimized_ir"') == len(state.versions)
+
+    def test_profile_only_put_keeps_stored_versions(self, tmp_path):
+        root = tmp_path / "store"
+        multiverse_engine().save(root)
+        store = ArtifactStore(root)
+        fingerprint = MULTIVERSE_CONFIG.fingerprint()
+        before = store.get("modal_sum", fingerprint)
+        assert len(before.versions) >= 2
+        cold = Engine.from_functions(
+            polymorphic_function("modal_sum"), config=MULTIVERSE_CONFIG
+        )
+        mode = polymorphic_phases("modal_sum")[0]
+        args, memory = polymorphic_arguments("modal_sum", mode)
+        cold.call("modal_sum", args, memory=memory)
+        incoming = snapshot_runtime(cold.runtime).artifact("modal_sum")
+        assert incoming.versions == [] and incoming.key == before.key
+        store.put(incoming)
+        after = store.get("modal_sum", fingerprint)
+        assert after.versions == before.versions
+
+        def samples(artifact):
+            return sum(prof.samples for prof in artifact.profile.values.values())
+
+        # The incoming observations still merge into the profile.
+        assert samples(after) > samples(before)
 
     def test_different_base_hash_supersedes(self, tmp_path):
         root = tmp_path / "store"
@@ -610,7 +687,7 @@ class TestMergeAndRepublish:
         engine = warm_poly(Engine.from_source(POLY_SRC))
         snapshot = engine.snapshot()
         assert snapshot.config_fingerprint == engine.config.fingerprint()
-        assert snapshot.artifact("poly").tier is not None
+        assert snapshot.artifact("poly").versions
         assert snapshot.artifact("missing") is None
         assert not (tmp_path / "store").exists()
         snapshot.save(tmp_path / "store")

@@ -11,8 +11,7 @@ golden files:
 
 * ``loop_sum`` — a counted loop whose body branches (phis at the header
   and at an interior join, a fused compare+branch guarding the back
-  edge), emitted by both engines so the dispatch golden doubles as the
-  "before" half of the README example;
+  edge);
 * ``nested_if`` — nested branch regions closing at their immediate
   postdominator joins, no loop;
 * ``irreducible`` — a two-entry cycle the structuring analysis must
@@ -145,7 +144,7 @@ def assert_matches_golden(name: str, source: str) -> None:
 class TestStructuredGoldens:
     def test_loop_kernel_structured(self):
         function = parse_function(LOOP_SUM)
-        compiled = compile_ir_function(function, codegen="structured")
+        compiled = compile_ir_function(function)
         assert compiled.emitter == "structured"
         assert_matches_golden("loop_sum_structured.py.txt", compiled.source)
         # Shape assertions on top of the byte-for-byte diff: the loop is
@@ -156,17 +155,9 @@ class TestStructuredGoldens:
         result = compiled([9], None)
         assert result.value == Interpreter().run(function, [9]).value
 
-    def test_loop_kernel_dispatch(self):
-        function = parse_function(LOOP_SUM)
-        compiled = compile_ir_function(function, codegen="dispatch")
-        assert compiled.emitter == "dispatch"
-        assert_matches_golden("loop_sum_dispatch.py.txt", compiled.source)
-        result = compiled([9], None)
-        assert result.value == Interpreter().run(function, [9]).value
-
     def test_nested_if_structured(self):
         function = parse_function(NESTED_IF)
-        compiled = compile_ir_function(function, codegen="structured")
+        compiled = compile_ir_function(function)
         assert compiled.emitter == "structured"
         assert_matches_golden("nested_if_structured.py.txt", compiled.source)
         assert "while True:" not in compiled.source  # no loop, no loop code
@@ -178,7 +169,7 @@ class TestStructuredGoldens:
         function = parse_function(IRREDUCIBLE)
         cfg = ControlFlowGraph(function)
         assert not is_reducible(cfg, DominatorTree(cfg))
-        compiled = compile_ir_function(function, codegen="structured")
+        compiled = compile_ir_function(function)
         assert compiled.emitter == "dispatch"
         assert_matches_golden("irreducible_fallback.py.txt", compiled.source)
         for args in ([0], [15]):
@@ -191,7 +182,7 @@ class TestStructuredGoldens:
         # peel the rest of the interrupted iteration straight-line and
         # then re-enter the loop as a freshly reconstructed construct.
         point = ProgramPoint("body", 1)
-        compiled = compile_ir_function(function, point, codegen="structured")
+        compiled = compile_ir_function(function, point)
         assert compiled.emitter == "structured"
         assert_matches_golden("loop_sum_osr_structured.py.txt", compiled.source)
         # Resume at i=4 (%t1 = 4 % 2 = 0 already computed); register keys
@@ -206,7 +197,6 @@ class TestGoldenHygiene:
     def test_goldens_exist_and_are_nonempty(self):
         names = [
             "loop_sum_structured.py.txt",
-            "loop_sum_dispatch.py.txt",
             "nested_if_structured.py.txt",
             "irreducible_fallback.py.txt",
             "loop_sum_osr_structured.py.txt",
